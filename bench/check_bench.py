@@ -30,7 +30,11 @@ Beyond the per-row checks, two machine-independent gates:
   * the ServeEngine rows (BM_ServeThroughput/64, mixed-load /47) gate
     the cache/admission accounting exactly (queries, hits, refusals);
     their wall times are thread-scheduler-dependent and stay ungated,
-    with the mixed row bound to BM_SymbolicCertifyThreads/1 by ratio.
+    with the mixed row bound to BM_SymbolicCertifyThreads/1 by ratio;
+  * parallel scaling: BM_SymbolicCertifyThreads/4 must take at most
+    0.75x the /1 row's time — but only when the fresh recording's
+    context.num_cpus is >= 4.  A runner with fewer cores cannot show the
+    speedup, so there the gate prints a skip notice instead.
 
 Overrides for noisy runners (documented in README.md):
 
@@ -139,12 +143,21 @@ SWEEP_COUNTERS = {
 NOISE_FLOOR_SECONDS = 0.5
 
 
+# Parallel-scaling gate: (scaled row, reference row, max time ratio,
+# CPUs the fresh recording needs for the gate to bind).  With >= 2
+# workers the symbolic producer runs beside its validator, so 4 threads
+# must beat 1 by a real margin on a machine that has the cores.
+SCALING_GATE = ("BM_SymbolicCertifyThreads/4", "BM_SymbolicCertifyThreads/1",
+                0.75, 4)
+
+
 def sweep_identity(row):
     return (row.get("engine", "streaming"), row.get("n"), row.get("k"),
             row.get("model", ""))
 
 
 def load_schedule(path):
+    """Rows by base name, and the recording's google-benchmark context."""
     with open(path) as f:
         data = json.load(f)
     rows = {}
@@ -153,7 +166,7 @@ def load_schedule(path):
         # Strip google-benchmark decorations: ".../iterations:1" etc.
         base = name.split("/iterations:")[0]
         rows[base] = bench
-    return rows
+    return rows, data.get("context", {})
 
 
 def load_sweep(path):
@@ -197,6 +210,27 @@ def check_time(what, fresh_secs, base_secs, tolerance, failures):
             "regression)")
 
 
+def check_scaling(fresh_sched, fresh_context, failures):
+    scaled_name, ref_name, max_ratio, min_cpus = SCALING_GATE
+    cpus = fresh_context.get("num_cpus")
+    if not isinstance(cpus, int) or cpus < min_cpus:
+        print(f"check_bench: scaling gate '{scaled_name}' <= {max_ratio} x "
+              f"'{ref_name}' skipped (fresh recording has num_cpus={cpus}, "
+              f"needs >= {min_cpus})")
+        return
+    scaled, ref = fresh_sched.get(scaled_name), fresh_sched.get(ref_name)
+    if scaled is None or ref is None:
+        failures.append(f"scaling gate: '{scaled_name}' and '{ref_name}' "
+                        f"must both be recorded on a {cpus}-CPU runner")
+        return
+    ratio = scaled["real_time"] / ref["real_time"]
+    if ratio > max_ratio:
+        failures.append(
+            f"scaling gate: '{scaled_name}' took {ratio:.2f}x '{ref_name}' "
+            f"on {cpus} CPUs (must be <= {max_ratio}) — the pipelined "
+            "certification stopped overlapping producer and validator")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--fresh-schedule", default="BENCH_schedule.fresh.json")
@@ -219,8 +253,8 @@ def main(argv=None):
     failures = []
 
     try:
-        fresh_sched = load_schedule(args.fresh_schedule)
-        base_sched = load_schedule(args.baseline_schedule)
+        fresh_sched, fresh_context = load_schedule(args.fresh_schedule)
+        base_sched, _ = load_schedule(args.baseline_schedule)
     except OSError as e:
         print(f"check_bench: cannot read schedule artifact: {e}",
               file=sys.stderr)
@@ -274,6 +308,8 @@ def main(argv=None):
                 f"vs committed {base_ratio:.2f} (> {args.ratio_tolerance:.0%} "
                 "tolerance) — this gate is machine-independent; the "
                 "numerator's engine got relatively slower")
+
+    check_scaling(fresh_sched, fresh_context, failures)
 
     try:
         fresh_sweep = load_sweep(args.fresh_sweep)

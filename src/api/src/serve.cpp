@@ -21,7 +21,12 @@ namespace {
 // Minimal JSON reader — just enough for the request protocol (objects,
 // arrays, strings, numbers, booleans, null).  Malformed input produces
 // an error message, never UB: the server's contract is that every bad
-// line becomes a structured error row.
+// line becomes a structured error row.  The parser recurses once per
+// nesting level, so nesting deeper than kMaxJsonDepth is refused before
+// it can exhaust the stack (a request needs depth 2: the object and its
+// cuts array).
+
+constexpr int kMaxJsonDepth = 64;
 
 struct JsonValue {
   enum Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -74,8 +79,16 @@ class JsonParser {
   bool parse_value(JsonValue* out) {
     if (i_ >= s_.size()) return fail("unexpected end of input");
     const char c = s_[i_];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth) {
+        return fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                    " levels");
+      }
+      ++depth_;
+      const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       out->kind = JsonValue::kString;
       return parse_string(&out->str);
@@ -223,6 +236,7 @@ class JsonParser {
 
   const std::string& s_;
   std::size_t i_ = 0;
+  int depth_ = 0;  ///< open objects/arrays around the cursor
   std::string err_;
 };
 

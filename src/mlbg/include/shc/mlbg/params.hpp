@@ -27,7 +27,7 @@ namespace shc {
 
 /// Exact minimization of realized_max_degree over all strictly
 /// increasing cut vectors of length k-1 by dynamic programming,
-/// O(k n^3).  Pre: n > k >= 2, n <= 63.
+/// O(k n^3).  Throws std::invalid_argument unless 2 <= k < n <= 63.
 [[nodiscard]] std::vector<int> optimal_cuts(int n, int k);
 
 /// Convenience: the best of theorem7_cuts and optimal_cuts (they agree

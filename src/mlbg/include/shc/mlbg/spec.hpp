@@ -64,6 +64,8 @@ class SparseHypercubeSpec {
   /// The paper's Construct(k, (n, cuts_{k-1}, ..., cuts_1)) with the
   /// Lemma-2 labeling on every level.  `cuts` = (n_1, ..., n_{k-1})
   /// strictly increasing, 1 <= n_1, n_{k-1} < n.  k = cuts.size() + 1.
+  /// Both construct overloads throw std::invalid_argument for n outside
+  /// [2, 63] or cuts outside that shape.
   [[nodiscard]] static SparseHypercubeSpec construct(int n, std::vector<int> cuts);
 
   /// Fully custom: one labeling per level, levels.size() == cuts.size();

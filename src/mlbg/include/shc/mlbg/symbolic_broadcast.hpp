@@ -76,7 +76,10 @@ struct XorPathSink {
 
 /// Emits the unified Broadcast_k dimension sweep from `source` as
 /// symbolic rounds of call groups into any SymbolicRoundSink.  Honors
-/// the sink's optional aborted() hook.  Throws std::invalid_argument
+/// the sink's optional aborted() hook (checked before each round) and
+/// round_committed(stats) hook (called after each round that passed the
+/// frontier cap, with the stats a stop at the next check would return).
+/// Throws std::invalid_argument
 /// for an out-of-range source, and std::runtime_error when the frontier
 /// exceeds `max_frontier_subcubes` or a subcube would split into more
 /// than 2^24 pieces (pathological custom constructions; the paper's
@@ -110,9 +113,10 @@ SymbolicProducerStats emit_broadcast_rounds_symbolic(
 
     sink.begin_round();
     {
-      // Covers emission plus the sink's streamed per-group checks (the
-      // sink IS the validator's end_call_group); the validator's own
-      // end_round phases land outside this scope.
+      // Covers emission plus the sink's streamed per-group checks (on
+      // one thread the sink IS the validator's end_call_group; pipelined
+      // it is the round channel, on the producer's own track); the
+      // validator's own end_round phases land outside this scope.
       SHC_TRACE_SCOPE("produce_round");
       entries.clear();
       entries.reserve(static_cast<std::size_t>(frontier.num_subcubes()));
@@ -166,6 +170,13 @@ SymbolicProducerStats emit_broadcast_rounds_symbolic(
           "symbolic frontier exceeded the subcube cap (" +
           std::to_string(frontier.num_subcubes()) + " subcubes)");
     }
+    if constexpr (requires(Sink& s, const SymbolicProducerStats& st) {
+                    s.round_committed(st);
+                  }) {
+      SymbolicProducerStats snapshot = stats;
+      snapshot.final_frontier_subcubes = frontier.num_subcubes();
+      sink.round_committed(snapshot);
+    }
   }
   stats.final_frontier_subcubes = frontier.num_subcubes();
   return stats;
@@ -202,8 +213,32 @@ struct SymbolicCertification {
 /// concrete call ever exists outside the seeded sample replays; time and
 /// memory are polynomial in n for the paper's constructions.  Admits
 /// n <= 63.
+///
+/// With one worker (threads == 1, no pool or a 1-worker pool) producer
+/// and validator take turns on the calling thread.  With two or more
+/// (sopt.threads >= 2 or a lent pool of >= 2 workers) they run at the
+/// same time as the two jobs of one pool generation, joined through a
+/// SymbolicRoundChannel: the producer emits round r + 1 while the
+/// validator, its round clauses inline, closes round r; the endgame
+/// then runs on the whole pool.  Each side keeps its own frontier.  The
+/// certification — report, validator stats, producer stats — is the
+/// one-thread run's in every outcome: on a validator failure the
+/// producer stats are those after the failing round (where the serial
+/// loop stops it), and on a producer throw they stay zero, as serially.
 [[nodiscard]] SymbolicCertification certify_broadcast_symbolic(
     const SparseHypercubeSpec& spec, Vertex source, const ValidationOptions& opt,
     const SymbolicCheckOptions& sopt = {});
+
+namespace detail {
+
+/// The turn-taking run at any worker count (the validator shards its
+/// clauses over the pool): certify_broadcast_symbolic's one-worker path,
+/// exposed so tests can hold the pipelined run to it.  Same preconditions
+/// and result contract.
+[[nodiscard]] SymbolicCertification certify_broadcast_symbolic_inline(
+    const SparseHypercubeSpec& spec, Vertex source, const ValidationOptions& opt,
+    const SymbolicCheckOptions& sopt = {});
+
+}  // namespace detail
 
 }  // namespace shc

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "shc/bits/bitstring.hpp"
 
@@ -70,7 +72,13 @@ int realized_max_degree(int n, const std::vector<int>& cuts) noexcept {
 }
 
 std::vector<int> optimal_cuts(int n, int k) {
-  assert(n > k && k >= 2 && n <= 63);
+  // Caller input (the server passes request fields straight through):
+  // guarded in Release builds too.  k = 1 would index an empty table.
+  if (k < 2 || n <= k || n > kMaxCubeDim) {
+    throw std::invalid_argument(
+        "optimal_cuts: need 2 <= k < n <= " + std::to_string(kMaxCubeDim) +
+        " (got n = " + std::to_string(n) + ", k = " + std::to_string(k) + ")");
+  }
   const int levels = k - 1;
   constexpr int kInf = std::numeric_limits<int>::max() / 4;
 

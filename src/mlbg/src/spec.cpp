@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace shc {
 
@@ -33,6 +35,29 @@ std::vector<std::vector<Dim>> partition_dims(int lo, int hi, Label classes) {
   return out;
 }
 
+namespace {
+
+/// Caller input (explicit cut vectors and n arrive from requests):
+/// guarded in Release builds too, at O(levels).
+void check_range(int n, const std::vector<int>& cuts) {
+  if (n < 2 || n > kMaxCubeDim) {
+    throw std::invalid_argument("SparseHypercubeSpec: n must be in [2, " +
+                                std::to_string(kMaxCubeDim) + "] (got " +
+                                std::to_string(n) + ")");
+  }
+  if (cuts.empty() || cuts.front() < 1 || cuts.back() >= n) {
+    throw std::invalid_argument(
+        "SparseHypercubeSpec: need at least one cut, all in [1, n - 1]");
+  }
+  for (std::size_t t = 0; t + 1 < cuts.size(); ++t) {
+    if (cuts[t] >= cuts[t + 1]) {
+      throw std::invalid_argument("SparseHypercubeSpec: cuts must be strictly increasing");
+    }
+  }
+}
+
+}  // namespace
+
 SparseHypercubeSpec::SparseHypercubeSpec(int n, std::vector<int> cuts,
                                          std::vector<ConstructionLevel> levels)
     : n_(n), cuts_(std::move(cuts)), levels_(std::move(levels)) {}
@@ -47,6 +72,7 @@ SparseHypercubeSpec SparseHypercubeSpec::construct_base(int n, int m) {
 }
 
 SparseHypercubeSpec SparseHypercubeSpec::construct(int n, std::vector<int> cuts) {
+  check_range(n, cuts);  // before any labeling is built from a window size
   std::vector<CubeLabeling> labelings;
   labelings.reserve(cuts.size());
   int prev = 0;
@@ -59,13 +85,10 @@ SparseHypercubeSpec SparseHypercubeSpec::construct(int n, std::vector<int> cuts)
 
 SparseHypercubeSpec SparseHypercubeSpec::construct(int n, std::vector<int> cuts,
                                                    std::vector<CubeLabeling> labelings) {
-  assert(n >= 2 && n <= kMaxCubeDim);
-  assert(!cuts.empty() && cuts.size() == labelings.size());
-  assert(std::is_sorted(cuts.begin(), cuts.end()));
-  assert(cuts.front() >= 1 && cuts.back() < n);
-#ifndef NDEBUG
-  for (std::size_t t = 0; t + 1 < cuts.size(); ++t) assert(cuts[t] < cuts[t + 1]);
-#endif
+  check_range(n, cuts);
+  if (cuts.size() != labelings.size()) {
+    throw std::invalid_argument("SparseHypercubeSpec: need one labeling per cut");
+  }
 
   std::vector<ConstructionLevel> levels;
   levels.reserve(cuts.size());
@@ -75,7 +98,9 @@ SparseHypercubeSpec SparseHypercubeSpec::construct(int n, std::vector<int> cuts,
     const int win_hi = cuts[t];
     const int dim_lo = cuts[t];
     const int dim_hi = (t + 1 < cuts.size()) ? cuts[t + 1] : n;
-    assert(labelings[t].m() == win_hi - win_lo && "labeling must match window size");
+    if (labelings[t].m() != win_hi - win_lo) {
+      throw std::invalid_argument("SparseHypercubeSpec: labeling must match its window size");
+    }
     assert(labelings[t].satisfies_condition_a() &&
            "construction requires a Condition-A labeling");
 

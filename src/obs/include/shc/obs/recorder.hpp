@@ -68,6 +68,18 @@ struct TraceEvent {
 /// is what makes the merged event order deterministic.
 inline constexpr std::uint32_t kMainTrack = 0;
 
+/// The symbolic producer's track when it runs beside its validator
+/// (the pipelined certify_broadcast_symbolic): its produce_round scopes
+/// carry their own sequence numbers, so the main track's order does not
+/// depend on how the two threads interleave.
+inline constexpr std::uint32_t kProducerTrack = 1;
+
+/// Deterministic merge key of one event.
+struct EventKey {
+  std::uint32_t track = kMainTrack;
+  std::uint64_t seq = 0;
+};
+
 /// Steady-clock nanoseconds.  Defined in recorder.cpp — the ONLY
 /// translation unit of the repo allowed to read a clock (shc-lint's
 /// timestamp rule keeps it that way).
@@ -112,6 +124,11 @@ class TraceRecorder {
     return seq_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  /// Merge key for an event recorded by the calling thread: the track
+  /// of its TrackBinding (with that binding's own counter), else the
+  /// main track.
+  [[nodiscard]] EventKey next_key() noexcept;
+
   /// Appends a completed phase scope (TraceScope's destructor).
   void scope_event(const char* name, std::uint32_t track, std::uint64_t seq,
                    std::uint64_t t0_ns, std::uint64_t dur_ns,
@@ -151,15 +168,34 @@ class TraceRecorder {
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
 };
 
+/// Routes every event the calling thread records to `track`, numbered
+/// by the binding's own counter from 0, for the binding's lifetime
+/// (bindings nest; the innermost wins).  A thread that runs beside the
+/// engine thread binds its own track, so the main track's sequence
+/// numbers stay in the engine thread's program order.
+class TrackBinding {
+ public:
+  explicit TrackBinding(std::uint32_t track) noexcept;
+  ~TrackBinding();
+  TrackBinding(const TrackBinding&) = delete;
+  TrackBinding& operator=(const TrackBinding&) = delete;
+
+ private:
+  friend class TraceRecorder;
+  std::uint32_t track_;
+  std::uint64_t seq_ = 0;
+  TrackBinding* outer_;
+};
+
 /// RAII phase scope.  Constructed cost when disabled: one atomic load.
-/// When enabled it draws a main-track sequence number at *construction*
+/// When enabled it draws its (track, seq) key at *construction*
 /// (program order) and appends one kScope event at destruction.
 class TraceScope {
  public:
   explicit TraceScope(const char* name) noexcept
       : rec_(TraceRecorder::active()), name_(name) {
     if (rec_ != nullptr) {
-      seq_ = rec_->next_seq();
+      key_ = rec_->next_key();
       t0_ = trace_now_ns();
     }
   }
@@ -167,14 +203,14 @@ class TraceScope {
   TraceScope& operator=(const TraceScope&) = delete;
   ~TraceScope() {
     if (rec_ != nullptr) {
-      rec_->scope_event(name_, kMainTrack, seq_, t0_, trace_now_ns() - t0_);
+      rec_->scope_event(name_, key_.track, key_.seq, t0_, trace_now_ns() - t0_);
     }
   }
 
  private:
   TraceRecorder* rec_;
   const char* name_;
-  std::uint64_t seq_ = 0;
+  EventKey key_;
   std::uint64_t t0_ = 0;
 };
 

@@ -78,7 +78,22 @@ struct LocalCache {
 };
 thread_local LocalCache t_cache;
 
+/// The calling thread's innermost TrackBinding, or nullptr.
+thread_local TrackBinding* t_binding = nullptr;
+
 }  // namespace
+
+TrackBinding::TrackBinding(std::uint32_t track) noexcept
+    : track_(track), outer_(t_binding) {
+  t_binding = this;
+}
+
+TrackBinding::~TrackBinding() { t_binding = outer_; }
+
+EventKey TraceRecorder::next_key() noexcept {
+  if (TrackBinding* b = t_binding) return {b->track_, b->seq_++};
+  return {kMainTrack, next_seq()};
+}
 
 TraceRecorder::TraceRecorder()
     : id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)) {}
@@ -125,19 +140,22 @@ void TraceRecorder::scope_event(const char* name, std::uint32_t track,
 }
 
 void TraceRecorder::counter(const char* name, std::uint64_t value) {
-  append(TraceEvent{name, EventKind::kCounter, kMainTrack, next_seq(),
-                    trace_now_ns(), 0, value});
+  const EventKey k = next_key();
+  append(TraceEvent{name, EventKind::kCounter, k.track, k.seq, trace_now_ns(),
+                    0, value});
 }
 
 void TraceRecorder::instant(const char* name) {
-  append(TraceEvent{name, EventKind::kInstant, kMainTrack, next_seq(),
-                    trace_now_ns(), 0, 0});
+  const EventKey k = next_key();
+  append(TraceEvent{name, EventKind::kInstant, k.track, k.seq, trace_now_ns(),
+                    0, 0});
 }
 
 void TraceRecorder::round_mark(std::uint64_t round) {
   counter("rss_hwm_kb", rss_high_water_kb());
-  append(TraceEvent{"round", EventKind::kRound, kMainTrack, next_seq(),
-                    trace_now_ns(), 0, round});
+  const EventKey k = next_key();
+  append(TraceEvent{"round", EventKind::kRound, k.track, k.seq, trace_now_ns(),
+                    0, round});
 }
 
 std::vector<TraceEvent> TraceRecorder::merged_events() const {
@@ -151,8 +169,9 @@ std::vector<TraceEvent> TraceRecorder::merged_events() const {
       out.insert(out.end(), b->events.begin(), b->events.end());
     }
   }
-  // (track, seq) is unique per event — each seq comes from one atomic
-  // counter (main track) — so this order is total and deterministic.
+  // (track, seq) is unique per event — main-track seqs come from one
+  // atomic counter, every other track's from its one binding thread —
+  // so this order is total and deterministic.
   std::sort(out.begin(), out.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               return a.track != b.track ? a.track < b.track : a.seq < b.seq;
@@ -266,8 +285,10 @@ bool TraceRecorder::write_round_jsonl(const std::string& path) const {
   // engines emit marks from one thread, so ts order == seq order).  A
   // counter's row value is its last sample in or before the window;
   // phase durations are summed per name over scopes *starting* in the
-  // window.  Events after the last mark become a tail row, round -1
-  // (the endgame / finish work).
+  // window — inclusive ("phases_ms") and self, i.e. minus the scopes
+  // nested directly inside on the same track ("self_ms"), so self times
+  // of one track never add up past its wall time.  Events after the
+  // last mark become a tail row, round -1 (the endgame / finish work).
   std::vector<TraceEvent> events = merged_events();
   std::stable_sort(events.begin(), events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
@@ -275,8 +296,31 @@ bool TraceRecorder::write_round_jsonl(const std::string& path) const {
                    });
   std::uint64_t t0 = events.empty() ? 0 : events.front().ts_ns;
 
+  // Self time: per track, a stack of the open scopes; a scope inside the
+  // innermost open one is its direct child.
+  std::vector<std::uint64_t> self_ns(events.size(), 0);
+  std::map<std::uint32_t, std::vector<std::size_t>> open;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    if (e.kind != EventKind::kScope) continue;
+    self_ns[i] = e.dur_ns;
+    std::vector<std::size_t>& stack = open[e.track];
+    while (!stack.empty() &&
+           events[stack.back()].ts_ns + events[stack.back()].dur_ns <= e.ts_ns) {
+      stack.pop_back();
+    }
+    if (!stack.empty()) {
+      const TraceEvent& parent = events[stack.back()];
+      if (e.ts_ns + e.dur_ns <= parent.ts_ns + parent.dur_ns) {
+        self_ns[stack.back()] -= std::min(self_ns[stack.back()], e.dur_ns);
+      }
+    }
+    stack.push_back(i);
+  }
+
   std::map<std::string_view, std::uint64_t> counters;
   std::map<std::string_view, std::uint64_t> phases_ns;
+  std::map<std::string_view, std::uint64_t> phases_self_ns;
   std::uint64_t window_start = t0;
 
   auto emit_row = [&](long long round, std::uint64_t window_end) {
@@ -296,16 +340,26 @@ bool TraceRecorder::write_round_jsonl(const std::string& path) const {
       first = false;
       out << json_str(name) << ":" << ms_from_ns(ns);
     }
+    out << "},\"self_ms\":{";
+    first = true;
+    for (const auto& [name, ns] : phases_self_ns) {
+      if (!first) out << ",";
+      first = false;
+      out << json_str(name) << ":" << ms_from_ns(ns);
+    }
     out << "}}\n";
     phases_ns.clear();
+    phases_self_ns.clear();
     window_start = window_end;
   };
 
   bool tail = false;  // any scope/counter activity since the last mark
-  for (const TraceEvent& e : events) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
     switch (e.kind) {
       case EventKind::kScope:
         phases_ns[e.name] += e.dur_ns;
+        phases_self_ns[e.name] += self_ns[i];
         tail = true;
         break;
       case EventKind::kCounter:

@@ -33,7 +33,8 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <thread>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "shc/bits/checked.hpp"
@@ -237,19 +238,28 @@ bool try_validate_round_clean(const Net& net, const FlatSchedule& schedule,
   return true;
 }
 
+/// Returns `threads`, or throws std::invalid_argument when it is <= 0 —
+/// a silent fallback to hardware_concurrency() would make a typo'd
+/// thread count a different run.
+inline int require_positive_threads(const char* who, int threads) {
+  if (threads <= 0) {
+    throw std::invalid_argument(std::string(who) + ": threads must be >= 1 (got " +
+                                std::to_string(threads) + ")");
+  }
+  return threads;
+}
+
 }  // namespace detail
 
 /// Sharded validate_broadcast: same verdict, error string, and counters
 /// as the serial kernel on every input (enforced by parity tests), with
-/// each round's per-call checks spread over `threads` workers.
-/// threads <= 0 picks hardware_concurrency().
+/// each round's per-call checks spread over `threads` workers.  Throws
+/// std::invalid_argument for threads <= 0.
 template <AdjacencyOracle Net>
 [[nodiscard]] ValidationReport validate_broadcast_parallel(
     const Net& net, const FlatSchedule& schedule, const ValidationOptions& opt,
-    int threads = 0) {
-  if (threads <= 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+    int threads = 1) {
+  detail::require_positive_threads("validate_broadcast_parallel", threads);
   ValidationReport rep;
   const std::uint64_t order = net.num_vertices();
   if (schedule.source >= order) {
@@ -289,14 +299,13 @@ template <AdjacencyOracle Net>
 class StreamingBroadcastValidator {
  public:
   /// Keeps a reference to `net`; it must outlive the validator.
-  /// threads <= 0 picks hardware_concurrency().
+  /// Throws std::invalid_argument for threads <= 0.
   StreamingBroadcastValidator(const Net& net, Vertex source,
                               const ValidationOptions& opt, int threads = 1)
       : net_(&net),
         opt_(opt),
-        threads_(threads <= 0
-                     ? static_cast<int>(std::max(1u, std::thread::hardware_concurrency()))
-                     : threads),
+        threads_(detail::require_positive_threads("StreamingBroadcastValidator",
+                                                  threads)),
         order_(net.num_vertices()),
         state_(order_, opt) {
     scratch_.source = source;

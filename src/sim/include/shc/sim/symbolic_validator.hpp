@@ -459,6 +459,12 @@ class SymbolicBroadcastValidator {
 
   [[nodiscard]] bool aborted() const noexcept { return failed_; }
 
+  /// Replaces the check-sharding pool (nullptr: every clause inline).
+  /// The pipelined certification validates its rounds inline inside one
+  /// pool job, beside the producer, and lends the pool back for the
+  /// endgame once that job returned (WorkerPool::run is not reentrant).
+  void lend_pool(WorkerPool* pool) noexcept { pool_ = pool; }
+
   // ---- results ---------------------------------------------------------
 
   /// Final verdict: the exact-cover endgame (occupancy consumption in

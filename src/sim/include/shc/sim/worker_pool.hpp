@@ -28,6 +28,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -46,7 +47,7 @@ class WorkerPool {
     total_ = helpers + 1;
     threads_.reserve(static_cast<std::size_t>(helpers));
     for (int t = 0; t < helpers; ++t) {
-      threads_.emplace_back([this] { worker_loop(); });
+      threads_.emplace_back([this, t] { worker_loop(t); });
     }
   }
 
@@ -76,6 +77,33 @@ class WorkerPool {
       for (int j = 0; j < jobs; ++j) fn(j);
       return;
     }
+    generation(jobs, fn, false, nullptr);
+  }
+
+  /// Runs `beside` on the pool's first helper thread while the caller
+  /// runs `here`; returns once both finished.  Unlike run()'s jobs, the
+  /// two always run at the same time, so they may wait on each other.
+  /// Both land on the same threads every call: a thread allocates from
+  /// its own malloc arena, and a recurring job that wandered across the
+  /// helpers would leave its footprint in each one's.  Needs
+  /// workers() >= 2 (throws std::logic_error otherwise).  The first
+  /// exception — `beside`'s, else `here`'s — is rethrown after both
+  /// finished.  Not reentrant.
+  void run_beside(const std::function<void()>& beside,
+                  const std::function<void()>& here) {
+    if (threads_.empty()) {
+      throw std::logic_error("WorkerPool::run_beside needs a helper thread");
+    }
+    const std::function<void(int)> job = [&](int) { beside(); };
+    generation(1, job, true, &here);
+  }
+
+ private:
+  /// Publishes one generation of `jobs` jobs and waits for it.  Pinned
+  /// generations go to helper 0 alone; `here`, when given, is what the
+  /// caller runs instead of pulling jobs.
+  void generation(int jobs, const std::function<void(int)>& fn, bool pinned,
+                  const std::function<void()>* here) {
     // Per-generation flight-recorder probe: one "pool_gen" scope (value
     // = job count) plus the generation's summed per-job busy time, both
     // recorded from the calling thread (run() is not reentrant, so that
@@ -104,17 +132,29 @@ class WorkerPool {
       done_.store(0, std::memory_order_relaxed);
       failed_.store(false, std::memory_order_relaxed);
       error_ = nullptr;
+      pinned_ = pinned;
       SHC_AUDIT_CHECK(generation_ + 1 > generation_,
                       "WorkerPool generation counter must not wrap");
       ++generation_;
     }
     cv_work_.notify_all();
-    pull_jobs(fn, jobs);
+    std::exception_ptr here_error;
+    if (here != nullptr) {
+      try {
+        (*here)();
+      } catch (...) {
+        here_error = std::current_exception();
+      }
+    } else {
+      pull_jobs(fn, jobs);
+    }
     std::unique_lock<std::mutex> lock(m_);
     cv_done_.wait(lock, [&] { return done_.load(std::memory_order_acquire) >= jobs_; });
     SHC_AUDIT_CHECK(done_.load(std::memory_order_relaxed) == jobs_,
                     "WorkerPool generation must account every job exactly once");
     task_ = nullptr;
+    pinned_ = false;
+    if (!error_) error_ = here_error;
     if (rec != nullptr) {
       rec->scope_event("pool_gen", obs::kMainTrack, rec_seq, rec_t0,
                        obs::trace_now_ns() - rec_t0,
@@ -129,7 +169,6 @@ class WorkerPool {
     }
   }
 
- private:
   void pull_jobs(const std::function<void(int)>& fn, int jobs) {
     for (;;) {
       const int j = next_.fetch_add(1, std::memory_order_relaxed);
@@ -156,7 +195,7 @@ class WorkerPool {
     }
   }
 
-  void worker_loop() {
+  void worker_loop(int index) {
     std::uint64_t seen = 0;
     for (;;) {
       const std::function<void(int)>* task = nullptr;
@@ -168,7 +207,7 @@ class WorkerPool {
         SHC_AUDIT_CHECK(generation_ > seen,
                         "WorkerPool generations must be observed monotonically");
         seen = generation_;
-        task = task_;
+        if (!pinned_ || index == 0) task = task_;
         jobs = jobs_;
         ++active_;  // counted before the lock drops: run() can't recycle
       }
@@ -191,6 +230,7 @@ class WorkerPool {
   int active_ = 0;
   std::uint64_t generation_ = 0;
   bool stop_ = false;
+  bool pinned_ = false;  ///< this generation's jobs belong to helper 0
   std::exception_ptr error_;  ///< first task exception of the generation
   std::atomic<int> next_{0};
   std::atomic<int> done_{0};

@@ -206,6 +206,41 @@ TEST(ApiFacade, BorrowedPoolReproducesOwnedPoolReport) {
   EXPECT_EQ(gossip_borrowed.report, gossip_serial.report);
 }
 
+TEST(ApiFacade, OutOfRangeSpecsThrowNamedInvalidArgument) {
+  // Range guards that used to be asserts (compiled out under Release):
+  // k = 1 indexed an empty DP table, n > 63 built an unusable spec.
+  EXPECT_THROW((void)optimal_cuts(20, 1), std::invalid_argument);
+  EXPECT_THROW((void)optimal_cuts(99, 2), std::invalid_argument);
+  EXPECT_THROW((void)optimal_cuts(3, 3), std::invalid_argument);
+  EXPECT_THROW((void)SparseHypercubeSpec::construct(99, {5}), std::invalid_argument);
+  EXPECT_THROW((void)SparseHypercubeSpec::construct(1, {1}), std::invalid_argument);
+  EXPECT_THROW((void)SparseHypercubeSpec::construct(10, {}), std::invalid_argument);
+  EXPECT_THROW((void)SparseHypercubeSpec::construct(10, {0}), std::invalid_argument);
+  EXPECT_THROW((void)SparseHypercubeSpec::construct(10, {10}), std::invalid_argument);
+  EXPECT_THROW((void)SparseHypercubeSpec::construct(10, {5, 3}), std::invalid_argument);
+  EXPECT_THROW((void)SparseHypercubeSpec::construct(10, {4, 4}), std::invalid_argument);
+  EXPECT_THROW((void)SparseHypercubeSpec::construct(10, {4}, {lemma2_labeling(3)}),
+               std::invalid_argument);
+
+  for (const Workload w : {Workload::kBroadcastSymbolic, Workload::kGossipSymbolic,
+                           Workload::kBroadcastStreaming}) {
+    CertifyRequest req;
+    req.workload = w;
+    req.n = 20;
+    req.k = 1;
+    EXPECT_THROW({ auto r = certify(req); (void)r; }, std::invalid_argument)
+        << workload_name(w);
+    req.n = 99;
+    req.k = 2;
+    EXPECT_THROW({ auto r = certify(req); (void)r; }, std::invalid_argument)
+        << workload_name(w);
+    // The admission cost model ranks unresolvable symbolic specs as free.
+    if (w != Workload::kBroadcastStreaming) {
+      EXPECT_EQ(predicted_group_cost(req), 0u) << workload_name(w);
+    }
+  }
+}
+
 TEST(ApiFacade, EveryEngineRejectsNonPositiveThreads) {
   const auto spec = design_sparse_hypercube(8, 2);
   ValidationOptions opt;

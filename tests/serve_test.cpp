@@ -58,6 +58,46 @@ TEST(ServeEngine, MalformedLinesAnswerErrorRowsNotCrashes) {
   EXPECT_NE(badspec.find("\"ok\":false"), std::string::npos) << badspec;
 }
 
+TEST(ServeEngine, OutOfRangeSpecsAnswerUncachedSpecErrorRows) {
+  // k = 1 used to index an empty table in optimal_cuts (SIGSEGV under
+  // Release), and n = 99 built a spec past the 63-bit vertex range whose
+  // engine-failure row was then cached.  Both are spec errors now.
+  ServeEngine engine{ServeOptions{}};
+  for (const char* line :
+       {"{\"workload\":\"broadcast-symbolic\",\"n\":20,\"k\":1}",
+        "{\"workload\":\"broadcast-symbolic\",\"n\":99,\"k\":2}",
+        "{\"workload\":\"gossip-symbolic\",\"n\":64,\"k\":3}",
+        "{\"workload\":\"broadcast-symbolic\",\"n\":99,\"cuts\":[5]}"}) {
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      const std::string row = engine.handle_line(line);
+      EXPECT_EQ(row.rfind("{\"ok\":false,\"error\":\"spec: ", 0), 0u)
+          << line << " -> " << row;
+      EXPECT_EQ(row.find("cache_hit"), std::string::npos) << line << " -> " << row;
+    }
+  }
+  const ServeStats st = engine.stats();
+  EXPECT_EQ(st.errors, 8u);
+  EXPECT_EQ(st.cache_misses, 0u);
+  EXPECT_EQ(st.cache_hits, 0u);
+}
+
+TEST(ServeEngine, DeeplyNestedLineAnswersAnErrorRow) {
+  // 200 000 '[' used to recurse once per bracket and overflow the stack.
+  ServeEngine engine{ServeOptions{}};
+  const std::string deep(200000, '[');
+  const std::string row = engine.handle_line(deep);
+  EXPECT_EQ(row.rfind("{\"ok\":false,\"error\":\"parse: nesting deeper than 64 levels", 0),
+            0u)
+      << row.substr(0, 120);
+  // The cap sits far above what a request needs: nested arrays inside
+  // an unknown field still reach the field check, not the cap.
+  std::string nested = "{\"workload\":\"broadcast-symbolic\",\"n\":8,\"x\":";
+  nested += std::string(60, '[') + std::string(60, ']') + "}";
+  const std::string field = engine.handle_line(nested);
+  EXPECT_NE(field.find("unknown field: x"), std::string::npos) << field;
+  EXPECT_EQ(engine.stats().errors, 2u);
+}
+
 TEST(ServeEngine, CacheHitReturnsByteIdenticalRow) {
   ServeEngine engine{ServeOptions{}};
   const std::string cold = engine.handle_line(

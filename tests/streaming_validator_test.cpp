@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "shc/mlbg/broadcast.hpp"
@@ -386,6 +387,28 @@ TEST(StreamingPipeline, AbortsProducerAfterFirstFailedRound) {
   EXPECT_TRUE(sink.aborted());
   // Strictly fewer calls were streamed than the schedule holds.
   EXPECT_LT(sink.calls_seen(), spec.num_vertices() - 1);
+}
+
+TEST(StreamingPipeline, NonPositiveThreadsThrowInsteadOfFallingBack) {
+  // threads <= 0 used to mean hardware_concurrency(); every entry point
+  // now names the bad value instead.
+  const auto spec = SparseHypercubeSpec::construct_base(6, 2);
+  const SpecView view(spec);
+  ValidationOptions opt;
+  opt.k = spec.k();
+  const FlatSchedule s = make_broadcast_schedule(spec, 0);
+  for (const int threads : {0, -1}) {
+    EXPECT_THROW((void)validate_broadcast_parallel(view, s, opt, threads),
+                 std::invalid_argument);
+    EXPECT_THROW((void)validate_broadcast_streaming(view, s, opt, threads),
+                 std::invalid_argument);
+    EXPECT_THROW((StreamingBroadcastValidator<SpecView>(view, 0, opt, threads)),
+                 std::invalid_argument);
+  }
+  // The parallel validator's default is one thread, like the others.
+  const ValidationReport serial = validate_broadcast(view, s, opt);
+  EXPECT_TRUE(serial == validate_broadcast_parallel(view, s, opt));
+  EXPECT_TRUE(serial.ok) << serial.error;
 }
 
 }  // namespace

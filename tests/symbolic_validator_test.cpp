@@ -11,7 +11,11 @@
 // and every handcrafted violation of the group structure is rejected.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "shc/mlbg/broadcast.hpp"
@@ -20,7 +24,9 @@
 #include "shc/mlbg/symbolic_broadcast.hpp"
 #include "shc/sim/congestion.hpp"
 #include "shc/sim/streaming_validator.hpp"
+#include "shc/sim/symbolic_round_channel.hpp"
 #include "shc/sim/symbolic_validator.hpp"
+#include "shc/sim/worker_pool.hpp"
 
 namespace shc {
 namespace {
@@ -698,6 +704,305 @@ TEST(SymbolicStats, GroupCompressionIsPolynomialWhileCallsAreExponential) {
   EXPECT_LT(cert.checks.peak_frontier_subcubes, 20000u);
   EXPECT_EQ(cert.producer.final_frontier_subcubes,
             cert.checks.final_frontier_subcubes);
+}
+
+// ---- pipelined certification ------------------------------------------
+//
+// With >= 2 workers certify_broadcast_symbolic runs the producer and the
+// validator side by side through a SymbolicRoundChannel.  Its
+// certification must be the turn-taking run's field for field — report,
+// validator stats, producer stats — clean or failing.
+
+void expect_same_certification(const SymbolicCertification& want,
+                               const SymbolicCertification& got,
+                               const std::string& what) {
+  expect_same_report(want.report, got.report, what.c_str());
+  const SymbolicRunStats& a = want.checks;
+  const SymbolicRunStats& b = got.checks;
+  EXPECT_EQ(a.groups, b.groups) << what;
+  EXPECT_EQ(a.peak_round_groups, b.peak_round_groups) << what;
+  EXPECT_EQ(a.peak_frontier_subcubes, b.peak_frontier_subcubes) << what;
+  EXPECT_EQ(a.final_frontier_subcubes, b.final_frontier_subcubes) << what;
+  EXPECT_EQ(a.collision_candidates, b.collision_candidates) << what;
+  EXPECT_EQ(a.occupancy_claims, b.occupancy_claims) << what;
+  EXPECT_EQ(a.sampled_calls, b.sampled_calls) << what;
+  EXPECT_EQ(a.rounds_checked, b.rounds_checked) << what;
+  EXPECT_EQ(a.union_cache_hits, b.union_cache_hits) << what;
+  EXPECT_EQ(a.union_cache_misses, b.union_cache_misses) << what;
+  EXPECT_EQ(a.reduce_tree_tasks, b.reduce_tree_tasks) << what;
+  const SymbolicProducerStats& p = want.producer;
+  const SymbolicProducerStats& q = got.producer;
+  EXPECT_EQ(p.groups_emitted, q.groups_emitted) << what;
+  EXPECT_EQ(p.peak_frontier_subcubes, q.peak_frontier_subcubes) << what;
+  EXPECT_EQ(p.final_frontier_subcubes, q.final_frontier_subcubes) << what;
+  EXPECT_EQ(p.split_groups, q.split_groups) << what;
+}
+
+/// Certifies at threads {1, 2, 4} and on a lent 3-worker pool, each
+/// against the turn-taking run with the same options.  Returns the
+/// one-thread certification.
+SymbolicCertification expect_pipeline_parity(const SparseHypercubeSpec& spec,
+                                             Vertex source,
+                                             const ValidationOptions& opt,
+                                             SymbolicCheckOptions sopt,
+                                             const std::string& what) {
+  SymbolicCertification first;
+  for (const int threads : {1, 2, 4}) {
+    sopt.threads = threads;
+    const auto want = detail::certify_broadcast_symbolic_inline(spec, source, opt, sopt);
+    const auto got = certify_broadcast_symbolic(spec, source, opt, sopt);
+    expect_same_certification(want, got, what + " threads=" + std::to_string(threads));
+    if (threads == 1) first = got;
+  }
+  WorkerPool pool(3);
+  sopt.threads = 1;
+  sopt.pool = &pool;
+  const auto want = detail::certify_broadcast_symbolic_inline(spec, source, opt, sopt);
+  const auto got = certify_broadcast_symbolic(spec, source, opt, sopt);
+  expect_same_certification(want, got, what + " lent pool");
+  // The pool survives the pipelined generation and serves the next run.
+  expect_same_certification(
+      want, certify_broadcast_symbolic(spec, source, opt, sopt), what + " pool reused");
+  return first;
+}
+
+TEST(SymbolicPipeline, CleanRunsMatchTheTurnTakingRunInBothModels) {
+  for (const int n : {14, 18, 22, 24}) {
+    for (const bool vertex_disjoint : {false, true}) {
+      const auto spec = design_sparse_hypercube(n, 2);
+      ValidationOptions opt;
+      opt.k = spec.k();
+      opt.require_vertex_disjoint = vertex_disjoint;
+      const std::string what = "n=" + std::to_string(n) +
+                               (vertex_disjoint ? " vertex-disjoint" : " edge-disjoint");
+      const auto cert = expect_pipeline_parity(spec, 0, opt, {}, what);
+      EXPECT_TRUE(cert.report.ok) << what << ": " << cert.report.error;
+      EXPECT_TRUE(cert.report.minimum_time) << what;
+      EXPECT_EQ(cert.producer.groups_emitted, cert.checks.groups) << what;
+    }
+  }
+}
+
+TEST(SymbolicPipeline, PairSweepEndgameKeepsItsThreadDependentCounter) {
+  // reduce_tree_tasks depends on the endgame's pool: the pipelined run
+  // must hand the pool back for finish(), as the turn-taking run has it.
+  const auto spec = design_sparse_hypercube(14, 3);
+  ValidationOptions opt;
+  opt.k = spec.k();
+  SymbolicCheckOptions sopt;
+  sopt.collision_mode = CollisionMode::kPairSweep;
+  const auto cert = expect_pipeline_parity(spec, 5, opt, sopt, "pair sweep");
+  EXPECT_TRUE(cert.report.ok) << cert.report.error;
+}
+
+TEST(SymbolicPipeline, FailingRunsMatchTheTurnTakingRun) {
+  const auto spec = design_sparse_hypercube(18, 2);
+  ValidationOptions opt;
+  opt.k = spec.k();
+
+  // The frontier cap: the validator fails at the end of a round and the
+  // producer throws on the same round's cap check (zero producer stats).
+  SymbolicCheckOptions capped;
+  capped.max_frontier_subcubes = 40;
+  const auto cap = expect_pipeline_parity(spec, 0, opt, capped, "frontier cap");
+  EXPECT_FALSE(cap.report.ok);
+  EXPECT_NE(cap.report.error.find("informed-set subcube cap exceeded"), std::string::npos)
+      << cap.report.error;
+  EXPECT_EQ(cap.producer.groups_emitted, 0u);
+
+  // The tightest tiling budget (the designed producer's groups match the
+  // frontier entries without a split, so the run still passes).
+  SymbolicCheckOptions tiling;
+  tiling.tiling_budget = 1;
+  (void)expect_pipeline_parity(spec, 0, opt, tiling, "tiling budget");
+
+  // Validator-only failures mid-run: the producer runs ahead, and its
+  // stats must be the ones after the failing round.
+  SymbolicCheckOptions ledger;
+  ledger.ledger_budget_per_claim = 0;
+  ledger.ledger_bucket_budget_base = 0;
+  const auto led = expect_pipeline_parity(spec, 0, opt, ledger, "ledger budget");
+  EXPECT_FALSE(led.report.ok);
+  EXPECT_NE(led.report.error.find("collision analysis exceeded its budget"),
+            std::string::npos)
+      << led.report.error;
+  EXPECT_GT(led.producer.groups_emitted, 0u);
+  EXPECT_LT(led.report.rounds, 18);
+
+  SymbolicCheckOptions sweep;
+  sweep.collision_mode = CollisionMode::kPairSweep;
+  sweep.collision_budget = 1;
+  const auto swept = expect_pipeline_parity(spec, 0, opt, sweep, "pair-sweep budget");
+  EXPECT_FALSE(swept.report.ok);
+  EXPECT_GT(swept.producer.groups_emitted, 0u);
+
+  const auto range =
+      expect_pipeline_parity(spec, cube_order(18), opt, {}, "source out of range");
+  EXPECT_EQ(range.report.error, "source out of range");
+
+  // Refused before round 1: nothing to overlap, same answer.
+  ValidationOptions loose = opt;
+  loose.edge_capacity = 2;
+  const auto model = expect_pipeline_parity(spec, 0, loose, {}, "model envelope");
+  EXPECT_FALSE(model.report.ok);
+}
+
+TEST(SymbolicPipeline, NonPositiveThreadsStillThrowWithAPool) {
+  const auto spec = design_sparse_hypercube(10, 2);
+  ValidationOptions opt;
+  opt.k = spec.k();
+  WorkerPool pool(2);
+  SymbolicCheckOptions sopt;
+  sopt.pool = &pool;
+  sopt.threads = 0;
+  EXPECT_THROW({ auto c = certify_broadcast_symbolic(spec, 0, opt, sopt); (void)c; },
+               std::invalid_argument);
+}
+
+/// Records the call sequence a channel replays; optionally aborts at a
+/// given group.
+struct RecordingSink {
+  std::vector<std::string> calls;
+  std::uint64_t groups = 0;
+  std::uint64_t abort_at = ~std::uint64_t{0};
+  bool failed = false;
+  void begin_round() { calls.emplace_back("begin"); }
+  void end_call_group(const CallGroup& g, std::span<const Vertex> pattern) {
+    if (failed) return;
+    calls.push_back("g" + std::to_string(g.prefix) + ":" + std::to_string(pattern.back()));
+    if (++groups == abort_at) failed = true;
+  }
+  void end_round() { calls.emplace_back("end"); }
+  [[nodiscard]] bool aborted() const { return failed; }
+};
+
+TEST(SymbolicRoundChannel, ReplaysTheSerialCallSequenceAcrossChunks) {
+  // Rounds longer than one chunk, patterns shared and distinct, and a
+  // producer that stops mid-round: the consumer sees the exact serial
+  // sequence, the partial round with no end_round.
+  const std::uint64_t big = SymbolicRoundChannel::kChunkGroups * 2 + 7;
+  RecordingSink want;
+  auto produce = [&](auto& sink) {
+    for (int r = 0; r < 3; ++r) {
+      sink.begin_round();
+      const std::uint64_t groups = r == 1 ? big : 5;
+      for (std::uint64_t i = 0; i < groups; ++i) {
+        CallGroup g;
+        g.prefix = i;
+        g.count = 1;
+        const Vertex patt[] = {0, Vertex{1} << (i % 3)};
+        sink.end_call_group(g, patt);
+        if (r == 2 && i == 2) throw std::runtime_error("producer stops");
+      }
+      sink.end_round();
+    }
+  };
+  EXPECT_THROW(produce(want), std::runtime_error);
+
+  WorkerPool pool(2);
+  SymbolicRoundChannel channel;
+  RecordingSink got;
+  std::uint64_t rounds = 0;
+  bool threw = false;
+  pool.run(2, [&](int job) {
+    if (job == 0) {
+      try {
+        produce(channel);
+      } catch (const std::runtime_error&) {
+        threw = true;
+      }
+      channel.close_producer();
+    } else {
+      rounds = channel.drain_into(got);
+    }
+  });
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(rounds, 3u);
+  EXPECT_EQ(got.calls, want.calls);
+}
+
+TEST(SymbolicRoundChannel, ConsumerFailureWhileTheChannelIsFullReturns) {
+  // The consumer's sink holds its first group until the producer has
+  // filled every chunk the channel may hold (the producer then waits for
+  // a free one), and fails.  Both sides must return: the producer's
+  // pushes are dropped and it stops at its next round boundary.
+  constexpr std::uint64_t kCapacity =
+      SymbolicRoundChannel::kChunkGroups * SymbolicRoundChannel::kMaxChunks;
+  std::atomic<std::uint64_t> pushed{0};
+  struct HoldingSink {
+    std::atomic<std::uint64_t>* pushed;
+    std::uint64_t capacity;
+    bool failed = false;
+    void begin_round() {}
+    void end_call_group(const CallGroup&, std::span<const Vertex>) {
+      while (pushed->load() < capacity) std::this_thread::yield();
+      failed = true;
+    }
+    void end_round() {}
+    [[nodiscard]] bool aborted() const { return failed; }
+  } sink{&pushed, kCapacity};
+
+  WorkerPool pool(2);
+  SymbolicRoundChannel channel;
+  int rounds_produced = 0;
+  pool.run(2, [&](int job) {
+    if (job == 0) {
+      for (int r = 0; r < 4 && !channel.aborted(); ++r, ++rounds_produced) {
+        channel.begin_round();
+        for (std::uint64_t i = 0; i < kCapacity + 1000; ++i) {
+          CallGroup g;
+          g.prefix = i;
+          g.count = 1;
+          const Vertex patt[] = {0, 1};
+          channel.end_call_group(g, patt);
+          pushed.fetch_add(1);
+        }
+        channel.end_round();
+      }
+      channel.close_producer();
+    } else {
+      EXPECT_EQ(channel.drain_into(sink), 1u);
+    }
+  });
+  EXPECT_TRUE(sink.failed);
+  EXPECT_EQ(rounds_produced, 1) << "the producer must stop at its next round boundary";
+}
+
+TEST(SymbolicRoundChannel, ConsumerThrowClosesTheChannel) {
+  struct ThrowingSink {
+    void begin_round() {}
+    void end_call_group(const CallGroup&, std::span<const Vertex>) {
+      throw std::runtime_error("sink throws");
+    }
+    void end_round() {}
+    [[nodiscard]] bool aborted() const { return false; }
+  } sink;
+  WorkerPool pool(2);
+  SymbolicRoundChannel channel;
+  bool caught = false;
+  pool.run(2, [&](int job) {
+    if (job == 0) {
+      while (!channel.aborted()) {
+        channel.begin_round();
+        for (std::uint64_t i = 0; i < SymbolicRoundChannel::kChunkGroups * 3; ++i) {
+          CallGroup g;
+          g.count = 1;
+          const Vertex patt[] = {0, 1};
+          channel.end_call_group(g, patt);
+        }
+        channel.end_round();
+      }
+      channel.close_producer();
+    } else {
+      try {
+        (void)channel.drain_into(sink);
+      } catch (const std::runtime_error&) {
+        caught = true;
+      }
+    }
+  });
+  EXPECT_TRUE(caught);
+  EXPECT_TRUE(channel.aborted());
 }
 
 }  // namespace

@@ -112,6 +112,22 @@ TEST(DeterministicMerge, EventOrderIsReproducibleAtEveryThreadCount) {
     EXPECT_EQ(first, second)
         << "merged event order drifted between identical runs at threads="
         << threads;
+    // At 4 threads the producer runs beside the validator and records
+    // its produce_round scopes on its own track; at 1 thread everything
+    // is on the main track.
+    std::size_t producer_rounds = 0;
+    std::size_t main_rounds = 0;
+    for (const auto& [track, seq, kind, name] : first) {
+      if (name != "produce_round") continue;
+      ++(track == obs::kProducerTrack ? producer_rounds : main_rounds);
+    }
+    if (threads == 1) {
+      EXPECT_EQ(producer_rounds, 0u) << "no producer track at threads=1";
+      EXPECT_EQ(main_rounds, 16u);
+    } else {
+      EXPECT_EQ(producer_rounds, 16u) << "producer track missing at threads=4";
+      EXPECT_EQ(main_rounds, 0u);
+    }
   }
 }
 
@@ -267,6 +283,7 @@ TEST(Sinks, ChromeTraceAndRoundJsonlAreStructurallyValid) {
     EXPECT_NE(line.find("\"wall_ms\":"), std::string::npos) << line;
     EXPECT_NE(line.find("\"counters\":{"), std::string::npos) << line;
     EXPECT_NE(line.find("\"phases_ms\":{"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"self_ms\":{"), std::string::npos) << line;
     if (line.rfind("{\"round\":-1,", 0) == 0) saw_tail = true;
     ++row_count;
   }

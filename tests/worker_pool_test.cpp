@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "shc/sim/worker_pool.hpp"
@@ -112,6 +113,61 @@ TEST(WorkerPoolStressTest, RepeatedFailuresDoNotWedgeThePool) {
   std::atomic<int> ok{0};
   pool.run(8, [&](int) { ok.fetch_add(1, std::memory_order_relaxed); });
   EXPECT_EQ(ok.load(), 8);
+}
+
+TEST(WorkerPoolBesideTest, BothSidesRunConcurrentlyOnFixedThreads) {
+  // The two sides wait on each other, which run()'s jobs may not: each
+  // call must put them on different threads at the same time — and
+  // always the same helper, generation after generation, interleaved
+  // with ordinary run() generations.
+  WorkerPool pool(4);
+  std::thread::id helper;
+  for (int call = 0; call < 50; ++call) {
+    std::atomic<int> stage{0};
+    std::thread::id beside_id;
+    std::thread::id here_id;
+    pool.run_beside(
+        [&] {
+          beside_id = std::this_thread::get_id();
+          stage.store(1);
+          while (stage.load() != 2) std::this_thread::yield();
+        },
+        [&] {
+          here_id = std::this_thread::get_id();
+          while (stage.load() != 1) std::this_thread::yield();
+          stage.store(2);
+        });
+    EXPECT_EQ(here_id, std::this_thread::get_id());
+    EXPECT_NE(beside_id, here_id);
+    if (call == 0) helper = beside_id;
+    EXPECT_EQ(beside_id, helper) << "call " << call;
+    std::atomic<int> jobs{0};
+    pool.run(8, [&](int) { jobs.fetch_add(1); });
+    EXPECT_EQ(jobs.load(), 8);
+  }
+}
+
+TEST(WorkerPoolBesideTest, ExceptionsSurfaceAfterBothSidesFinish) {
+  WorkerPool pool(2);
+  std::atomic<bool> here_done{false};
+  EXPECT_THROW(pool.run_beside([] { throw std::runtime_error("beside"); },
+                               [&] { here_done.store(true); }),
+               std::runtime_error);
+  EXPECT_TRUE(here_done.load());
+  std::atomic<bool> beside_done{false};
+  EXPECT_THROW(pool.run_beside([&] { beside_done.store(true); },
+                               [] { throw std::logic_error("here"); }),
+               std::logic_error);
+  EXPECT_TRUE(beside_done.load());
+  // Still usable.
+  std::atomic<int> jobs{0};
+  pool.run(4, [&](int) { jobs.fetch_add(1); });
+  EXPECT_EQ(jobs.load(), 4);
+}
+
+TEST(WorkerPoolBesideTest, NeedsAHelperThread) {
+  WorkerPool pool(1);
+  EXPECT_THROW(pool.run_beside([] {}, [] {}), std::logic_error);
 }
 
 }  // namespace

@@ -25,8 +25,11 @@ sys.path.insert(
 import check_bench  # noqa: E402
 
 
-def schedule_artifact(rows: dict[str, dict]) -> dict:
-    return {"benchmarks": [dict(name=name, **row) for name, row in rows.items()]}
+def schedule_artifact(rows: dict[str, dict], num_cpus: int | None = None) -> dict:
+    art = {"benchmarks": [dict(name=name, **row) for name, row in rows.items()]}
+    if num_cpus is not None:
+        art["context"] = {"num_cpus": num_cpus}
+    return art
 
 
 BASE_SCHED = {
@@ -67,6 +70,7 @@ class GateHarness(unittest.TestCase):
         base_sweep: list | None = None,
         extra_args: list[str] | None = None,
         unreadable: bool = False,
+        fresh_cpus: int | None = None,
     ) -> tuple[int, str]:
         base_sched = BASE_SCHED if base_sched is None else base_sched
         base_sweep = BASE_SWEEP if base_sweep is None else base_sweep
@@ -80,7 +84,7 @@ class GateHarness(unittest.TestCase):
             }
             if not unreadable:
                 paths["--fresh-schedule"].write_text(
-                    json.dumps(schedule_artifact(fresh_sched or {})))
+                    json.dumps(schedule_artifact(fresh_sched or {}, fresh_cpus)))
             paths["--baseline-schedule"].write_text(
                 json.dumps(schedule_artifact(base_sched)))
             paths["--fresh-sweep"].write_text(
@@ -152,6 +156,36 @@ class ThreadRows(GateHarness):
         fresh["BM_SymbolicCertifyThreads/1"]["real_time"] = 80.0
         status, out = self.run_gate(fresh, list(BASE_SWEEP))
         self.assertEqual(status, 0, out)
+
+    def test_scaling_gate_skips_below_four_cpus(self) -> None:
+        # 4 threads no faster than 1: fine on a runner with 1 or 2 CPUs,
+        # which cannot show the speedup — the skip is announced.
+        fresh = json.loads(json.dumps(BASE_SCHED))
+        fresh["BM_SymbolicCertifyThreads/4"]["real_time"] = 8.0
+        for cpus in (None, 1, 2):
+            status, out = self.run_gate(fresh, list(BASE_SWEEP), fresh_cpus=cpus)
+            self.assertEqual(status, 0, out)
+            self.assertIn("scaling gate", out)
+            self.assertIn("skipped", out)
+
+    def test_scaling_gate_binds_on_four_cpus(self) -> None:
+        fresh = json.loads(json.dumps(BASE_SCHED))
+        fresh["BM_SymbolicCertifyThreads/4"]["real_time"] = 6.5  # 0.81x
+        status, out = self.run_gate(fresh, list(BASE_SWEEP), fresh_cpus=4)
+        self.assertEqual(status, 1, out)
+        self.assertIn("scaling gate", out)
+        self.assertIn("0.81x", out)
+        fresh["BM_SymbolicCertifyThreads/4"]["real_time"] = 6.0  # 0.75x
+        status, out = self.run_gate(fresh, list(BASE_SWEEP), fresh_cpus=8)
+        self.assertEqual(status, 0, out)
+        self.assertNotIn("skipped", out)
+
+    def test_scaling_gate_needs_both_rows_on_four_cpus(self) -> None:
+        fresh = {k: v for k, v in BASE_SCHED.items()
+                 if k != "BM_SymbolicCertifyThreads/4"}
+        status, out = self.run_gate(fresh, list(BASE_SWEEP), fresh_cpus=4)
+        self.assertEqual(status, 1, out)
+        self.assertIn("must both be recorded", out)
 
     def test_thread_counter_divergence_fails(self) -> None:
         # threads=4 reporting different groups than threads=1 is a

@@ -71,6 +71,42 @@ class Render(unittest.TestCase):
         self.assertLess(breakdown.index("endgame"),
                         breakdown.index("sampled_replay"))
 
+    def test_self_time_next_to_inclusive_time(self) -> None:
+        # A gossip-shaped round: apply_round encloses the three
+        # knowledge-class phases, so inclusive percentages add up past
+        # 100 % while self percentages stay within the round's wall.
+        rows = [{"round": 1, "ts_ms": 10.0, "wall_ms": 10.0,
+                 "counters": {},
+                 "phases_ms": {"apply_round": 9.0, "kc_union": 4.0,
+                               "kc_merge": 3.0, "kc_refine": 1.5},
+                 "self_ms": {"apply_round": 0.5, "kc_union": 4.0,
+                             "kc_merge": 3.0, "kc_refine": 1.5}}]
+        with tempfile.TemporaryDirectory() as tmp:
+            status, out, err = run_main(rows_to_file(tmp, rows))
+        self.assertEqual(status, 0, err)
+        breakdown = out.split("phase breakdown:")[1].split("top-5")[0]
+        self.assertIn("inclusive", out)
+        self.assertIn("self", out)
+        lines = {ln.split()[0]: ln.split() for ln in breakdown.splitlines()[1:]
+                 if ln.strip()}
+        # name, incl ms, "ms", incl %, self ms, "ms", self %
+        self.assertEqual(lines["apply_round"][1], "9.00")
+        self.assertEqual(lines["apply_round"][3], "90.0%")
+        self.assertEqual(lines["apply_round"][4], "0.50")
+        self.assertEqual(lines["apply_round"][6], "5.0%")
+        incl = sum(float(v[3].rstrip("%")) for v in lines.values())
+        own = sum(float(v[6].rstrip("%")) for v in lines.values())
+        self.assertGreater(incl, 100.0)
+        self.assertLessEqual(own, 100.0)
+
+    def test_traces_without_self_times_show_dashes(self) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            status, out, err = run_main(rows_to_file(tmp, SAMPLE))
+        self.assertEqual(status, 0, err)
+        breakdown = out.split("phase breakdown:")[1].split("top-5")[0]
+        line = [ln for ln in breakdown.splitlines() if "caller_tiling" in ln][0]
+        self.assertEqual(line.split()[-2:], ["-", "-"])
+
     def test_top5_slowest(self) -> None:
         rows = [{"round": r, "ts_ms": float(r), "wall_ms": float(r),
                  "counters": {}, "phases_ms": {}} for r in range(1, 9)]

@@ -10,7 +10,12 @@ mark).  The report shows:
   * a per-round table — round index, wall ms, call groups checked that
     round, groups/sec, frontier size and its growth over the previous
     round, and the round's dominant phase;
-  * the aggregate phase breakdown across the whole run;
+  * the aggregate phase breakdown across the whole run: inclusive time
+    (a scope's whole duration, nested scopes included) next to self
+    time (minus the scopes nested directly inside it).  Inclusive
+    percentages of nested phases add up past 100 %; self percentages of
+    one track do not.  Traces written before the sink recorded
+    `self_ms` show "-" in the self columns;
   * the top-5 slowest rounds by wall time.
 
 Only the Python standard library is used; the tool never interprets
@@ -106,21 +111,34 @@ def render(rows: list[dict], out=None) -> None:
 
     total_wall = sum(float(r.get("wall_ms", 0.0)) for r in rows)
     phase_totals: dict[str, float] = {}
+    self_totals: dict[str, float] = {}
+    has_self = all("self_ms" in r for r in rows)
     for r in rows:
         for name, ms in r.get("phases_ms", {}).items():
             phase_totals[name] = phase_totals.get(name, 0.0) + float(ms)
+        for name, ms in r.get("self_ms", {}).items():
+            self_totals[name] = self_totals.get(name, 0.0) + float(ms)
 
     print(file=out)
     print(f"rounds: {len(per_round)}"
           + (f" (+{len(tail)} endgame window)" if tail else "")
           + f"   total wall: {total_wall:.2f} ms", file=out)
 
+    def pct(ms: float) -> float:
+        return 100.0 * ms / total_wall if total_wall > 0 else 0.0
+
     if phase_totals:
-        print("phase breakdown:", file=out)
+        print(f"phase breakdown: {'':<11}{'inclusive':>19}  {'self':>19}",
+              file=out)
         for name, ms in sorted(phase_totals.items(),
                                key=lambda kv: (-kv[1], kv[0])):
-            pct = 100.0 * ms / total_wall if total_wall > 0 else 0.0
-            print(f"  {name:<20} {ms:>10.2f} ms  {pct:5.1f}%", file=out)
+            if has_self:
+                own = self_totals.get(name, 0.0)
+                self_cells = f"{own:>10.2f} ms  {pct(own):5.1f}%"
+            else:
+                self_cells = f"{'-':>13}  {'-':>5}"
+            print(f"  {name:<20} {ms:>10.2f} ms  {pct(ms):5.1f}%  {self_cells}",
+                  file=out)
 
     slowest = sorted(per_round,
                      key=lambda r: (-float(r.get("wall_ms", 0.0)),
